@@ -8,7 +8,14 @@ Prints one row per benchmark with the before/after real_time and the
 delta, then exits nonzero when any benchmark present in both captures
 regressed by more than the threshold (default 10% real_time). Rows
 present on only one side are reported but never fail the check (new
-benchmarks appear, retired ones disappear).
+benchmarks appear, retired ones disappear). A row that google-benchmark
+marks "error_occurred" (SkipWithError) fails the check outright: it
+carries no timing (real_time 0.0), so comparing it would pass any
+errored benchmark as a -100% speedup.
+
+Both captures' context.num_cpus are printed before the table, with a
+warning on stderr when they differ: a multi-thread row is comparable
+across captures only when it confines its threads to one CPU.
 
 Either input may be a raw capture (a google-benchmark JSON document
 with a top-level "benchmarks" array) or a merged before/after record
@@ -25,14 +32,18 @@ import json
 import sys
 
 
-def load_rows(path):
-    """Map benchmark name -> {real_time, time_unit} from a capture.
+def load_capture(path):
+    """Read a capture: (context, rows, errors).
 
-    A capture taken with --benchmark_repetitions=N carries one
-    iteration row per repetition; we keep the minimum. Timing noise
-    on a shared machine is one-sided (scheduler steal only ever adds
-    time), so best-of-N converges on the true cost and makes the
-    comparison robust where a single sample or the mean flakes.
+    rows maps benchmark name -> {real_time, time_unit}. A capture
+    taken with --benchmark_repetitions=N carries one iteration row
+    per repetition; we keep the minimum. Timing noise on a shared
+    machine is one-sided (scheduler steal only ever adds time), so
+    best-of-N converges on the true cost and makes the comparison
+    robust where a single sample or the mean flakes.
+
+    errors maps benchmark name -> error_message for every row that
+    reported error_occurred; such rows never enter rows.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -40,8 +51,12 @@ def load_rows(path):
     if "benchmarks" not in doc and "after" in doc:
         doc = doc["after"]
     rows = {}
+    errors = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
+            continue
+        if bench.get("error_occurred"):
+            errors[bench["name"]] = bench.get("error_message", "")
             continue
         row = rows.get(bench["name"])
         if row is None or bench["real_time"] < row["real_time"]:
@@ -49,7 +64,7 @@ def load_rows(path):
                 "real_time": bench["real_time"],
                 "time_unit": bench.get("time_unit", "ns"),
             }
-    return rows
+    return doc.get("context", {}), rows, errors
 
 
 def main():
@@ -71,8 +86,17 @@ def main():
              "taken on a slower or noisier host than the baseline.")
     args = parser.parse_args()
 
-    before = load_rows(args.before)
-    after = load_rows(args.after)
+    ctx_b, before, err_b = load_capture(args.before)
+    ctx_a, after, err_a = load_capture(args.after)
+
+    errored = [(args.before, name, msg) for name, msg in err_b.items()]
+    errored += [(args.after, name, msg) for name, msg in err_a.items()]
+    if errored:
+        print(f"bench_compare: {len(errored)} benchmark(s) reported "
+              f"an error instead of a time:", file=sys.stderr)
+        for path, name, msg in errored:
+            print(f"  {name} ({path}): {msg}", file=sys.stderr)
+        return 1
 
     if args.calibrate:
         cal_b = before.get(args.calibrate)
@@ -88,6 +112,15 @@ def main():
               f"factor {1 / scale:.3f}x vs baseline")
         for row in after.values():
             row["real_time"] *= scale
+
+    cpus_b = ctx_b.get("num_cpus", "?")
+    cpus_a = ctx_a.get("num_cpus", "?")
+    print(f"num_cpus: {cpus_b} before, {cpus_a} after")
+    if cpus_b != cpus_a:
+        print(f"bench_compare: warning: the captures ran on "
+              f"{cpus_b} and {cpus_a} CPUs; a multi-thread row is "
+              f"comparable only if it confines its threads to one "
+              f"CPU", file=sys.stderr)
 
     width = max((len(n) for n in set(before) | set(after)), default=4)
     regressions = []
