@@ -496,6 +496,8 @@ runCampaignEngine(const isa::Program &program,
         }
     }
     out.samplesRun = done;
+    out.forkPagesCopied = fork.forkPagesCopied();
+    out.forkPagesCompared = fork.forkPagesCompared();
 
     // Analytical reconciliation bands (see file comment; the band
     // collapses to [0, 0] for classes the protection eliminates).

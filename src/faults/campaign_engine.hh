@@ -203,6 +203,10 @@ struct CampaignOutcome
     std::uint64_t rerunSteps = 0;   ///< total forked instructions
     std::uint64_t goldenSteps = 0;  ///< one full golden replay
     std::uint64_t checkpoints = 0;
+    /** Memory pages the forks copied on write, and pages their
+     * convergence checks compared byte by byte (ForkServer). */
+    std::uint64_t forkPagesCopied = 0;
+    std::uint64_t forkPagesCompared = 0;
 
     std::vector<StructureCampaign> structures;
     std::vector<RootCause> rootCauses;

@@ -3,11 +3,21 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/prof.hh"
 
 namespace ser
 {
 namespace faults
 {
+namespace
+{
+
+prof::Counter pagesComparedCounter(
+    "faults.fork_pages_compared",
+    "Memory pages fork convergence checks compared byte by byte "
+    "(pages sharing storage with the golden checkpoint are skipped).");
+
+} // namespace
 
 ForkServer::ForkServer(const isa::Program &program,
                        std::uint64_t budget, unsigned checkpoints)
@@ -92,6 +102,7 @@ ForkServer::runFork(isa::Executor &executor,
         return false;
     };
 
+    std::uint64_t compared = 0;
     for (;;) {
         std::uint64_t target = cpi < _checkpoints.size()
                                    ? _checkpoints[cpi].steps
@@ -103,30 +114,27 @@ ForkServer::runFork(isa::Executor &executor,
             if (term != isa::Termination::Running)
                 break;
         }
-        std::uint64_t ran = executor.steps() - fork_start;
         if (term == isa::Termination::Halted) {
             bool changed =
                 outputDiverged() || executor.state().output().size()
                                         != _goldenOutput.size();
-            return {changed, ran};
+            return finish(executor, changed, fork_start, compared);
         }
-        if (term == isa::Termination::Trap)
-            return {true, ran};
-        if (outputDiverged())
-            return {true, ran};
-        if (executor.steps() >= _budget)
-            return {true, ran};  // same verdict as a full-rerun
-                                 // MaxSteps: failed to terminate
+        // A budget overrun is the full rerun's MaxSteps verdict:
+        // failed to terminate.
+        if (term == isa::Termination::Trap || outputDiverged() ||
+            executor.steps() >= _budget)
+            return finish(executor, true, fork_start, compared);
         if (cpi < _checkpoints.size() &&
             executor.steps() == _checkpoints[cpi].steps) {
             const isa::ExecCheckpoint &cp = _checkpoints[cpi];
             if (executor.pc() == cp.pc &&
                 executor.callDepth() == cp.callDepth &&
-                executor.state().equals(cp.state)) {
+                executor.state().equals(cp.state, &compared)) {
                 // Reconverged with the golden run at the same step
                 // count: the deterministic suffix is identical, so
                 // the fault is architecturally masked.
-                return {false, ran};
+                return finish(executor, false, fork_start, compared);
             }
             ++cpi;
         }
@@ -134,12 +142,25 @@ ForkServer::runFork(isa::Executor &executor,
 }
 
 ForkServer::Verdict
+ForkServer::finish(const isa::Executor &executor, bool changed,
+                   std::uint64_t fork_start,
+                   std::uint64_t pages_compared) const
+{
+    pagesComparedCounter.add(pages_compared);
+    _forkPagesCompared.fetch_add(pages_compared,
+                                 std::memory_order_relaxed);
+    _forkPagesCopied.fetch_add(
+        executor.state().memory().pagesCopied(),
+        std::memory_order_relaxed);
+    return {changed, executor.steps() - fork_start};
+}
+
+ForkServer::Verdict
 ForkServer::corruptEncoding(std::uint64_t seq,
                             std::uint64_t mask) const
 {
-    isa::Executor executor(_program);
     const isa::ExecCheckpoint &cp = checkpointAtOrBefore(seq);
-    executor.restore(cp);
+    isa::Executor executor(_program, cp);
     executor.setCorruption(seq, mask);
     return runFork(executor, cp.steps, seq);
 }
@@ -148,16 +169,15 @@ ForkServer::Verdict
 ForkServer::corruptRegister(std::uint64_t step, RegClass file,
                             int reg, int bit) const
 {
-    isa::Executor executor(_program);
     const isa::ExecCheckpoint &cp = checkpointAtOrBefore(step);
-    executor.restore(cp);
+    isa::Executor executor(_program, cp);
     while (executor.steps() < step) {
         isa::Termination term = executor.step();
         if (term != isa::Termination::Running) {
             // The golden prefix halts exactly at 'step' (a strike in
             // the very last commit's cycle): the output is already
             // complete, so a register flip can no longer be read.
-            return {false, executor.steps() - cp.steps};
+            return finish(executor, false, cp.steps, 0);
         }
     }
 

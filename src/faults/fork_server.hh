@@ -22,11 +22,19 @@
  * property-tested): trap or exceeding the same absolute step budget
  * counts as changed, and a run that halts compares its full output
  * against the golden stream.
+ *
+ * Checkpoint memory is copy-on-write (isa::SparseMemory): a fork
+ * starts from its checkpoint's pages without copying them, copies a
+ * page only when the suffix first writes it, and its convergence test
+ * compares byte by byte only the pages that no longer share storage
+ * with the golden checkpoint. A fork therefore costs its suffix plus
+ * O(chunk-table entries), not the working set.
  */
 
 #ifndef SER_FAULTS_FORK_SERVER_HH
 #define SER_FAULTS_FORK_SERVER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -75,6 +83,17 @@ class ForkServer
     }
     std::size_t numCheckpoints() const { return _checkpoints.size(); }
 
+    /** Pages the forks served so far copied on write, summed. */
+    std::uint64_t forkPagesCopied() const
+    {
+        return _forkPagesCopied.load(std::memory_order_relaxed);
+    }
+    /** Pages the forks' convergence tests compared byte by byte. */
+    std::uint64_t forkPagesCompared() const
+    {
+        return _forkPagesCompared.load(std::memory_order_relaxed);
+    }
+
     /**
      * Counterfactual: XOR the encoding of the instruction fetched at
      * dynamic step 'seq' with 'mask'. Thread-safe (const, forks its
@@ -105,11 +124,19 @@ class ForkServer
                     std::uint64_t fork_start,
                     std::uint64_t corrupt_after) const;
 
+    /** A finished fork's verdict; adds its page counts to the
+     * totals. */
+    Verdict finish(const isa::Executor &executor, bool changed,
+                   std::uint64_t fork_start,
+                   std::uint64_t pages_compared) const;
+
     const isa::Program &_program;
     std::uint64_t _budget;
     std::uint64_t _goldenSteps = 0;
     std::vector<std::uint64_t> _goldenOutput;
     std::vector<isa::ExecCheckpoint> _checkpoints;
+    mutable std::atomic<std::uint64_t> _forkPagesCopied{0};
+    mutable std::atomic<std::uint64_t> _forkPagesCompared{0};
 };
 
 } // namespace faults

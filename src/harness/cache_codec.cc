@@ -503,6 +503,8 @@ encodeCampaign(const faults::CampaignOutcome &outcome)
     e.u64(outcome.rerunSteps);
     e.u64(outcome.goldenSteps);
     e.u64(outcome.checkpoints);
+    e.u64(outcome.forkPagesCopied);
+    e.u64(outcome.forkPagesCompared);
     e.u64(outcome.structures.size());
     for (const auto &s : outcome.structures) {
         e.u8(static_cast<std::uint8_t>(s.structure));
@@ -564,6 +566,8 @@ decodeCampaign(const void *data, std::size_t len,
     out->rerunSteps = d.u64();
     out->goldenSteps = d.u64();
     out->checkpoints = d.u64();
+    out->forkPagesCopied = d.u64();
+    out->forkPagesCompared = d.u64();
     std::uint64_t structures = d.count(137);
     out->structures.reserve(
         static_cast<std::size_t>(d.ok() ? structures : 0));

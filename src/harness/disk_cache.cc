@@ -13,6 +13,7 @@
 #include <mutex>
 
 #include "sim/crc64.hh"
+#include "sim/logging.hh"
 
 namespace ser
 {
@@ -42,6 +43,8 @@ struct State
     std::string dir;
     std::uint32_t schemaVersion = 0;
     std::atomic<std::uint64_t> tempSeq{0};
+    /** A failed store() was reported for the current directory. */
+    std::atomic<bool> storeWarned{false};
 };
 
 State &
@@ -57,6 +60,35 @@ bool
 makeDir(const std::string &path)
 {
     return ::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST;
+}
+
+/** mkdir -p: create every missing component of 'path'. */
+bool
+makeDirs(const std::string &path)
+{
+    for (std::size_t slash = path.find('/', 1);
+         slash != std::string::npos;
+         slash = path.find('/', slash + 1)) {
+        if (!makeDir(path.substr(0, slash)))
+            return false;
+    }
+    struct stat st;
+    return makeDir(path) && ::stat(path.c_str(), &st) == 0 &&
+           S_ISDIR(st.st_mode);
+}
+
+/** Report the first failed publish under the current directory: a
+ * silent failure would leave the tier cold for the whole run. */
+std::uint64_t
+storeFailed(const std::string &path)
+{
+    int err = errno;
+    if (!state().storeWarned.exchange(true)) {
+        SER_WARN("disk cache: cannot publish '{}' ({}); what fails "
+                 "to store is computed again on the next run",
+                 path, std::strerror(err));
+    }
+    return 0;
 }
 
 std::string
@@ -94,8 +126,13 @@ DiskCache::setDirectory(const std::string &dir,
     std::lock_guard<std::mutex> guard(s.lock);
     s.dir = dir;
     s.schemaVersion = schema_version;
-    if (!dir.empty())
-        makeDir(dir);
+    s.storeWarned = false;
+    if (!dir.empty() && !makeDirs(dir)) {
+        SER_WARN("disk cache: cannot create directory '{}' ({}); "
+                 "nothing will be stored",
+                 dir, std::strerror(errno));
+        s.storeWarned = true;
+    }
 }
 
 bool
@@ -226,7 +263,7 @@ DiskCache::store(const std::string &section, const std::string &key,
 
     std::string sectionDir = dir + "/" + section;
     if (!makeDir(sectionDir))
-        return 0;
+        return storeFailed(sectionDir);
 
     BlobHeader header;
     std::memcpy(header.magic, kMagic, 4);
@@ -248,7 +285,7 @@ DiskCache::store(const std::string &section, const std::string &key,
     int fd = ::open(tempPath.c_str(),
                     O_WRONLY | O_CREAT | O_TRUNC, 0666);
     if (fd < 0)
-        return 0;
+        return storeFailed(tempPath);
 
     auto writeAll = [fd](const void *data, std::size_t len) {
         const char *p = static_cast<const char *>(data);
@@ -272,6 +309,7 @@ DiskCache::store(const std::string &section, const std::string &key,
     std::string path =
         sectionDir + "/" + hexKeyHash(key) + ".blob";
     if (!ok || ::rename(tempPath.c_str(), path.c_str()) != 0) {
+        storeFailed(path);
         ::unlink(tempPath.c_str());
         return 0;
     }

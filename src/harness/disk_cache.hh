@@ -64,10 +64,11 @@ class DiskCache
     static DiskCache &instance();
 
     /**
-     * Point the store at a directory (created if missing, along with
-     * per-section subdirectories on first store). An empty path
-     * disables the disk tier. schema_version is stamped into every
-     * blob and checked on load; pass codec::kSchemaVersion.
+     * Point the store at a directory (created if missing, with every
+     * missing parent, and per-section subdirectories on first store).
+     * An empty path disables the disk tier. schema_version is stamped
+     * into every blob and checked on load; pass codec::kSchemaVersion.
+     * A directory that cannot be created is reported on stderr.
      */
     void setDirectory(const std::string &dir,
                       std::uint32_t schema_version);
@@ -104,7 +105,9 @@ class DiskCache
     /**
      * Publish a blob for (section, key); atomic and last-write-wins.
      * Returns the total file bytes written, 0 when disabled or on an
-     * I/O failure (which is non-fatal: the cache just stays cold).
+     * I/O failure. A failure is non-fatal (the cache just stays cold
+     * for that entry); the first one per directory is reported on
+     * stderr.
      */
     std::uint64_t store(const std::string &section,
                         const std::string &key,

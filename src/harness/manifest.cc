@@ -184,6 +184,8 @@ writeRunManifest(json::JsonWriter &jw, const RunArtifacts &run,
         jw.kv("ci_half_width", c.ciHalfWidth);
         jw.kv("golden_steps", c.goldenSteps);
         jw.kv("checkpoints", c.checkpoints);
+        jw.kv("fork_pages_copied", c.forkPagesCopied);
+        jw.kv("fork_pages_compared", c.forkPagesCompared);
         jw.kv("reruns", c.reruns);
         jw.kv("rerun_steps", c.rerunSteps);
         jw.kv("mean_rerun_fraction", c.meanRerunFraction());

@@ -187,9 +187,9 @@ class RunCache
         const std::function<faults::CampaignOutcome()> &compute,
         CacheOutcome *outcome = nullptr);
 
-    /** FNV-1a over the canonical encoding of every instruction, the
-     * data initialisers and the entry point: equal-content programs
-     * hash equal regardless of object identity. */
+    /** The program's isa::Program::contentHash(): equal-content
+     * programs hash equal regardless of object identity, and one
+     * program object is hashed at most once. */
     static std::uint64_t programHash(const isa::Program &program);
 
     /**
@@ -201,16 +201,6 @@ class RunCache
      * point of the cache.
      */
     static std::string simKey(const isa::Program &program,
-                              const ExperimentConfig &config,
-                              const cpu::PipelineParams &
-                                  effective_params);
-
-    /** Same key from a precomputed programHash(): lets a caller that
-     * probes many configs of one program (the sweep daemon) hash the
-     * program image once instead of per request — the hash walks
-     * every data initialiser, which for large-working-set surrogates
-     * is millions of entries. */
-    static std::string simKey(std::uint64_t program_hash,
                               const ExperimentConfig &config,
                               const cpu::PipelineParams &
                                   effective_params);

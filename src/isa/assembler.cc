@@ -381,15 +381,17 @@ Parser::run()
             break;
         }
         std::size_t target = _program.labelIndex(fixup.label);
-        StaticInst &inst = _program.inst(fixup.instIndex);
+        const StaticInst &inst = _program.inst(fixup.instIndex);
         std::int64_t value =
             fixup.wantsIndex
                 ? static_cast<std::int64_t>(target)
                 : static_cast<std::int64_t>(
                       Program::indexToAddr(target));
-        inst = StaticInst(inst.opcode(), inst.qp(), inst.dst(),
-                          inst.src1(), inst.src2(),
-                          static_cast<std::int32_t>(value));
+        _program.setInst(fixup.instIndex,
+                         StaticInst(inst.opcode(), inst.qp(),
+                                    inst.dst(), inst.src1(),
+                                    inst.src2(),
+                                    static_cast<std::int32_t>(value)));
     }
 
     if (!_error && !_entryLabel.empty()) {

@@ -64,7 +64,9 @@ struct StepInfo
  * depth). Restoring one is equivalent to replaying the program from
  * the entry for 'steps' instructions, at the cost of one ArchState
  * copy — the checkpoint/fork primitive the fault-injection campaign
- * engine uses to pay only an injection's post-strike suffix.
+ * engine uses to pay only an injection's post-strike suffix. Memory
+ * pages are copy-on-write (SparseMemory), so taking or resuming from
+ * a checkpoint costs O(chunk-table entries), not O(bytes).
  */
 struct ExecCheckpoint
 {
@@ -80,18 +82,19 @@ class Executor
   public:
     explicit Executor(const Program &program);
 
+    /**
+     * Resume from a checkpoint of a run of 'program' without
+     * resetting first: no data initialiser is replayed. The step
+     * counter resumes too, so a setCorruption keyed on an absolute
+     * dynamic seq fires at the right instruction.
+     */
+    Executor(const Program &program, const ExecCheckpoint &checkpoint);
+
     /** Restart from the program entry with fresh state. */
     void reset();
 
     /** Capture the current execution position and state. */
     ExecCheckpoint snapshot() const;
-
-    /**
-     * Resume from a checkpoint. The step counter is restored too, so
-     * a pending setCorruption keyed on an absolute dynamic seq still
-     * fires at the right instruction after a restore.
-     */
-    void restore(const ExecCheckpoint &checkpoint);
 
     /**
      * Corrupt the instruction fetched at dynamic step 'seq' by XORing

@@ -13,6 +13,7 @@ std::size_t
 Program::append(const StaticInst &inst)
 {
     _insts.push_back(inst);
+    _hash.clear();
     return _insts.size() - 1;
 }
 
@@ -43,6 +44,42 @@ void
 Program::addData(std::uint64_t addr, std::uint64_t value)
 {
     _data.push_back({addr, value});
+    _hash.clear();
+}
+
+void
+Program::setInst(std::size_t index, const StaticInst &inst)
+{
+    if (index >= _insts.size())
+        instOutOfRange(index);
+    _insts[index] = inst;
+    _hash.clear();
+}
+
+std::uint64_t
+Program::contentHash() const
+{
+    std::uint64_t h;
+    if (_hash.get(h))
+        return h;
+    h = 14695981039346656037ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (i * 8)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    mix(_insts.size());
+    for (const StaticInst &inst : _insts)
+        mix(inst.encode());
+    mix(_data.size());
+    for (const DataInit &init : _data) {
+        mix(init.addr);
+        mix(init.value);
+    }
+    mix(_entry);
+    _hash.set(h);
+    return h;
 }
 
 void

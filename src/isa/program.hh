@@ -11,6 +11,7 @@
 #ifndef SER_ISA_PROGRAM_HH
 #define SER_ISA_PROGRAM_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -49,6 +50,9 @@ class Program
     /** Add an initial data word. */
     void addData(std::uint64_t addr, std::uint64_t value);
 
+    /** Replace the instruction at an index. */
+    void setInst(std::size_t index, const StaticInst &inst);
+
     std::size_t size() const { return _insts.size(); }
     bool empty() const { return _insts.empty(); }
 
@@ -58,13 +62,6 @@ class Program
      * call (the panic itself stays out of line). */
     const StaticInst &
     inst(std::size_t index) const
-    {
-        if (index >= _insts.size())
-            instOutOfRange(index);
-        return _insts[index];
-    }
-    StaticInst &
-    inst(std::size_t index)
     {
         if (index >= _insts.size())
             instOutOfRange(index);
@@ -83,7 +80,21 @@ class Program
 
     /** Entry point (instruction index); defaults to 0. */
     std::size_t entry() const { return _entry; }
-    void setEntry(std::size_t index) { _entry = index; }
+    void
+    setEntry(std::size_t index)
+    {
+        _entry = index;
+        _hash.clear();
+    }
+
+    /**
+     * FNV-1a over the canonical encoding of every instruction, the
+     * data initialisers and the entry point: equal-content programs
+     * hash equal regardless of object identity. Computed on the first
+     * call and kept until the program is next changed (a large
+     * surrogate has millions of data words to walk). Thread-safe.
+     */
+    std::uint64_t contentHash() const;
 
     /** Address <-> instruction-index mapping. */
     static std::uint64_t indexToAddr(std::size_t index)
@@ -97,12 +108,49 @@ class Program
     std::string disassemble() const;
 
   private:
+    /** contentHash()'s memo. Every mutator clears it; a copy of the
+     * program starts without one. Racing first calls store the same
+     * value. */
+    class HashMemo
+    {
+      public:
+        HashMemo() = default;
+        HashMemo(const HashMemo &) {}
+        HashMemo &
+        operator=(const HashMemo &)
+        {
+            clear();
+            return *this;
+        }
+
+        bool
+        get(std::uint64_t &value) const
+        {
+            if (!_valid.load(std::memory_order_acquire))
+                return false;
+            value = _value.load(std::memory_order_relaxed);
+            return true;
+        }
+        void
+        set(std::uint64_t value) const
+        {
+            _value.store(value, std::memory_order_relaxed);
+            _valid.store(true, std::memory_order_release);
+        }
+        void clear() { _valid.store(false, std::memory_order_relaxed); }
+
+      private:
+        mutable std::atomic<bool> _valid{false};
+        mutable std::atomic<std::uint64_t> _value{0};
+    };
+
     [[noreturn]] void instOutOfRange(std::size_t index) const;
 
     std::vector<StaticInst> _insts;
     std::map<std::string, std::size_t> _labels;
     std::vector<DataInit> _data;
     std::size_t _entry = 0;
+    HashMemo _hash;
 };
 
 } // namespace isa

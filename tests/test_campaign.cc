@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "avf/avf.hh"
@@ -24,7 +25,10 @@
 #include "harness/run_cache.hh"
 #include "isa/assembler.hh"
 #include "isa/executor.hh"
+#include "sim/parallel.hh"
+#include "sim/prof.hh"
 #include "sim/rng.hh"
+#include "workloads/suite.hh"
 
 using namespace ser;
 using namespace ser::faults;
@@ -42,10 +46,10 @@ struct EngineRun
 };
 
 EngineRun
-makeRun(const std::string &src)
+makeRun(isa::Program program)
 {
     EngineRun r;
-    r.program = isa::assembleOrDie(src);
+    r.program = std::move(program);
     isa::Executor golden(r.program);
     EXPECT_EQ(golden.run(3000000), isa::Termination::Halted);
     r.golden = golden.state().output();
@@ -58,6 +62,12 @@ makeRun(const std::string &src)
     r.deadness = avf::analyzeDeadness(r.trace);
     r.avf = avf::computeAvf(r.trace, r.deadness);
     return r;
+}
+
+EngineRun
+makeRun(const std::string &src)
+{
+    return makeRun(isa::assembleOrDie(src));
 }
 
 const char *kLoopSrc = R"(
@@ -141,11 +151,47 @@ TEST(SampleWindowCycle, DegenerateAndBounds)
     EXPECT_TRUE(seen.count(13)) << "last occupied cycle sampleable";
 }
 
-TEST(ForkServer, VerdictMatchesFullRerun)
+namespace
 {
-    EngineRun r = makeRun(kLoopSrc);
-    ForkServer fork(r.program, 0, 8);
 
+/**
+ * A register strike replayed in full: run from the entry to 'step',
+ * flip the bit, run on until the program stops or 'budget' steps have
+ * run in all, and compare the output with the golden stream.
+ */
+bool
+registerStrikeChangesOutput(const EngineRun &r, std::uint64_t budget,
+                            std::uint64_t step, RegClass file, int reg,
+                            int bit)
+{
+    isa::Executor ex(r.program);
+    while (ex.steps() < step) {
+        if (ex.step() != isa::Termination::Running)
+            return false;  // struck after the last instruction
+    }
+    isa::ArchState &st = ex.state();
+    switch (file) {
+      case RegClass::Int:
+        st.writeInt(reg, st.readInt(reg) ^ (1ULL << bit));
+        break;
+      case RegClass::Fp:
+        st.writeFpBits(reg, st.readFpBits(reg) ^ (1ULL << bit));
+        break;
+      case RegClass::Pred:
+        st.writePred(reg, !st.readPred(reg));
+        break;
+    }
+    return ex.run(budget - ex.steps()) != isa::Termination::Halted ||
+           st.output() != r.golden;
+}
+
+/** Fork verdicts against full reruns, for encoding strikes (the
+ * injector's own full rerun) and register strikes (the replay
+ * above). */
+void
+expectForksMatchFullReruns(const std::string &what, const EngineRun &r,
+                           const ForkServer &fork)
+{
     // Two injectors over the same trace: one re-runs through the
     // fork server, the other replays from scratch. Every classified
     // site must agree exactly.
@@ -166,16 +212,140 @@ TEST(ForkServer, VerdictMatchesFullRerun)
         FaultResult a = forked.classify(site, Protection::None);
         FaultResult b = full.classify(site, Protection::None);
         ASSERT_EQ(a.outcome, b.outcome)
-            << "entry " << site.entry << " bit " << int(site.bit)
-            << " cycle " << site.cycle;
-        EXPECT_EQ(a.reRan, b.reRan);
+            << what << ": entry " << site.entry << " bit "
+            << int(site.bit) << " cycle " << site.cycle;
+        EXPECT_EQ(a.reRan, b.reRan) << what << ": sample " << i;
         if (a.reRan) {
             ++reran;
             // The fork pays at most the full suffix; usually less.
-            EXPECT_LE(a.rerunSteps, b.rerunSteps);
+            EXPECT_LE(a.rerunSteps, b.rerunSteps)
+                << what << ": sample " << i;
         }
     }
-    EXPECT_GT(reran, 0) << "sites never exercised the re-run path";
+    EXPECT_GT(reran, 0)
+        << what << ": sites never exercised the re-run path";
+
+    const std::uint64_t budget = 2 * fork.goldenSteps() + 10000;
+    int changed = 0;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        Rng rng = Rng::keyed(0xF1, i);
+        std::uint64_t step = rng.range(fork.goldenSteps() + 1);
+        auto file = static_cast<RegClass>(rng.range(3));
+        // Skip the hardwired r0/f0/f1/p0: a flip there is a no-op.
+        int first = file == RegClass::Fp ? 2 : 1;
+        int regs = file == RegClass::Int  ? isa::numIntRegs
+                   : file == RegClass::Fp ? isa::numFpRegs
+                                          : isa::numPredRegs;
+        int reg = first + static_cast<int>(rng.range(
+                              static_cast<std::uint64_t>(regs - first)));
+        int bit = static_cast<int>(rng.range(64));
+        bool expect =
+            registerStrikeChangesOutput(r, budget, step, file, reg, bit);
+        ASSERT_EQ(fork.corruptRegister(step, file, reg, bit).changed,
+                  expect)
+            << what << ": register sample " << i << " step " << step
+            << " file " << int(file) << " reg " << reg << " bit "
+            << bit;
+        changed += expect;
+    }
+    EXPECT_GT(changed, 0)
+        << what << ": no register strike changed the output";
+}
+
+} // namespace
+
+TEST(ForkServer, VerdictMatchesFullRerun)
+{
+    EngineRun r = makeRun(kLoopSrc);
+    ForkServer fork(r.program, 0, 8);
+    expectForksMatchFullReruns("loop", r, fork);
+}
+
+TEST(ForkServer, VerdictMatchesFullRerunOnManyPages)
+{
+    // The vpr surrogate: 512 data pages, and stores all through the
+    // run, so forks write pages they share with their checkpoint.
+    EngineRun r = makeRun(workloads::buildBenchmark("vpr", 6000));
+    isa::Executor probe(r.program);
+    ASSERT_GE(probe.state().memory().numPages(), 64u);
+    ForkServer fork(r.program, 0, 8);
+    expectForksMatchFullReruns("vpr", r, fork);
+    EXPECT_GT(fork.forkPagesCopied(), 0u)
+        << "no fork wrote a page it shared with its checkpoint";
+}
+
+TEST(ForkServer, ConcurrentForksShareCheckpointsSafely)
+{
+    // Workers fork from the same const checkpoints at once, each
+    // copying pages it shares with them: verdicts, steps and page
+    // counts match a serial pass exactly (and the thread-sanitizer
+    // build sees the sharing from several threads).
+    isa::Program program = workloads::buildBenchmark("vpr", 6000);
+    ForkServer fork(program, 0, 8);
+    const std::size_t n = 256;
+    auto strike = [&](std::size_t i) {
+        Rng rng = Rng::keyed(0xF3, i);
+        return fork.corruptRegister(
+            rng.range(fork.goldenSteps()), RegClass::Int,
+            1 + static_cast<int>(rng.range(63)),
+            static_cast<int>(rng.range(64)));
+    };
+    std::vector<ForkServer::Verdict> serial(n), parallel(n);
+    for (std::size_t i = 0; i < n; ++i)
+        serial[i] = strike(i);
+    const std::uint64_t copied = fork.forkPagesCopied();
+    const std::uint64_t compared = fork.forkPagesCompared();
+    ser::parallelFor(n, 4,
+                     [&](std::size_t i) { parallel[i] = strike(i); });
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(parallel[i].changed, serial[i].changed)
+            << "sample " << i;
+        EXPECT_EQ(parallel[i].steps, serial[i].steps)
+            << "sample " << i;
+    }
+    EXPECT_GT(copied, 0u);
+    EXPECT_EQ(fork.forkPagesCopied(), 2 * copied);
+    EXPECT_EQ(fork.forkPagesCompared(), 2 * compared);
+}
+
+TEST(ForkServer, ForkCopiesOnlyThePagesItWrites)
+{
+    // The mcf surrogate holds 4096 data pages (16 MiB). A fork shares
+    // them all with its checkpoint and copies only the few its
+    // suffix stores to.
+    isa::Program program = workloads::buildBenchmark("mcf", 6000);
+    isa::Executor probe(program);
+    ASSERT_GE(probe.state().memory().numPages(), 4096u);
+    ForkServer fork(program, 0, 32);
+
+    prof::setEnabled(true);
+    prof::reset();
+    const std::uint64_t forks = 128;
+    for (std::uint64_t i = 0; i < forks; i += 2) {
+        Rng rng = Rng::keyed(0xF2, i);
+        std::uint64_t step = rng.range(fork.goldenSteps());
+        fork.corruptEncoding(step, 1ULL << rng.range(64));
+        fork.corruptRegister(step, RegClass::Int,
+                             1 + static_cast<int>(rng.range(63)),
+                             static_cast<int>(rng.range(64)));
+    }
+    std::map<std::string, std::uint64_t> counters;
+    for (const prof::CounterSample &c : prof::snapshot().counters)
+        counters[c.name] = c.value;
+    prof::setEnabled(false);
+    prof::reset();
+
+    EXPECT_GT(fork.forkPagesCopied(), 0u);
+    EXPECT_LT(static_cast<double>(fork.forkPagesCopied()) /
+                  static_cast<double>(forks),
+              64.0)
+        << fork.forkPagesCopied() << " pages copied by " << forks
+        << " forks";
+    // The golden run's own copies came before the counters were
+    // reset, so the process-wide counts are the forks' alone.
+    EXPECT_EQ(counters["isa.pages_copied"], fork.forkPagesCopied());
+    EXPECT_EQ(counters["faults.fork_pages_compared"],
+              fork.forkPagesCompared());
 }
 
 TEST(CampaignEngine, ShardInvariantAcrossJobs)

@@ -176,6 +176,52 @@ TEST_F(DiskCacheTest, StoreLoadRoundtrip)
     EXPECT_EQ(got, payload);
 }
 
+TEST_F(DiskCacheTest, CreatesEveryMissingParentDirectory)
+{
+    // Neither "a" nor "a/b" exists: both are created, and a blob
+    // stored there reloads.
+    const std::string nested = _dir + "/a/b";
+    disk().setDirectory(nested, harness::codec::kSchemaVersion);
+    const std::string payload = "under a two-level missing parent";
+    EXPECT_GT(disk().store("test", "key-N", payload), payload.size());
+    struct stat st;
+    EXPECT_EQ(::stat(disk().blobPath("test", "key-N").c_str(), &st), 0);
+    EXPECT_EQ(disk().blobPath("test", "key-N").rfind(nested, 0), 0u);
+
+    std::string got;
+    EXPECT_EQ(loadPayload("test", "key-N", &got).status,
+              harness::DiskCache::LoadStatus::Ok);
+    EXPECT_EQ(got, payload);
+}
+
+TEST_F(DiskCacheTest, UncreatableDirectoryIsReportedOnce)
+{
+    // A regular file where a parent directory should be.
+    const std::string file = _dir + "/file";
+    std::ofstream(file) << "x";
+    testing::internal::CaptureStderr();
+    disk().setDirectory(file + "/sub", harness::codec::kSchemaVersion);
+    EXPECT_EQ(disk().store("test", "k1", "v"), 0u);
+    EXPECT_EQ(disk().store("test", "k2", "v"), 0u);
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("cannot create directory"), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("cannot publish"), std::string::npos) << err;
+
+    // A directory that exists but cannot take a section subdirectory
+    // reports its first failed publish, and only that one.
+    disk().setDirectory(_dir, harness::codec::kSchemaVersion);
+    std::ofstream(_dir + "/blocked") << "x";
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(disk().store("blocked", "k1", "v"), 0u);
+    EXPECT_EQ(disk().store("blocked", "k2", "v"), 0u);
+    err = testing::internal::GetCapturedStderr();
+    std::size_t first = err.find("cannot publish");
+    EXPECT_NE(first, std::string::npos) << err;
+    EXPECT_EQ(err.find("cannot publish", first + 1), std::string::npos)
+        << err;
+}
+
 TEST_F(DiskCacheTest, MissingKeyIsNoEntry)
 {
     std::string got;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "isa/assembler.hh"
 #include "isa/encoding.hh"
 #include "isa/executor.hh"
@@ -114,6 +116,49 @@ TEST(StaticInst, PropertyFlags)
 
     StaticInst cmp(Opcode::CmpLt, 0, 3, 4, 5, 0);
     EXPECT_TRUE(cmp.writesPredReg());
+}
+
+TEST(Program, ContentHashFollowsEveryMutation)
+{
+    // Each step mutates the program after its hash was taken; the
+    // memoized hash must always equal a fresh program's built with
+    // the same content.
+    Program p = assembleOrDie("movi r2 = 1\nout r2\nhalt\n");
+    auto fresh = [&p] {
+        Program q;
+        for (const StaticInst &inst : p.instructions())
+            q.append(inst);
+        for (const DataInit &init : p.dataInits())
+            q.addData(init.addr, init.value);
+        q.setEntry(p.entry());
+        return q.contentHash();
+    };
+    std::set<std::uint64_t> seen{p.contentHash()};
+    EXPECT_EQ(p.contentHash(), fresh());
+
+    p.addData(0x10000, 5);
+    EXPECT_TRUE(seen.insert(p.contentHash()).second);
+    EXPECT_EQ(p.contentHash(), fresh());
+
+    p.setInst(0, StaticInst(Opcode::Movi, 0, 2, 0, 0, 7));
+    EXPECT_TRUE(seen.insert(p.contentHash()).second);
+    EXPECT_EQ(p.contentHash(), fresh());
+
+    p.append(StaticInst(Opcode::Halt, 0, 0, 0, 0, 0));
+    EXPECT_TRUE(seen.insert(p.contentHash()).second);
+    EXPECT_EQ(p.contentHash(), fresh());
+
+    p.setEntry(1);
+    EXPECT_TRUE(seen.insert(p.contentHash()).second);
+    EXPECT_EQ(p.contentHash(), fresh());
+
+    // A copy hashes equal, and mutating it leaves the original's
+    // hash alone.
+    Program copy = p;
+    EXPECT_EQ(copy.contentHash(), p.contentHash());
+    copy.addData(0x10008, 6);
+    EXPECT_NE(copy.contentHash(), p.contentHash());
+    EXPECT_EQ(p.contentHash(), fresh());
 }
 
 TEST(Assembler, BasicProgramAndLabels)
@@ -252,6 +297,112 @@ TEST(ArchState, SparseMemoryWordAccess)
     // Unaligned, page-straddling access.
     mem.writeWord(4096 - 3, 0xAABBCCDDEEFF0011ULL);
     EXPECT_EQ(mem.readWord(4096 - 3), 0xAABBCCDDEEFF0011ULL);
+}
+
+TEST(SparseMemory, WriteAfterCopyChangesNeitherOtherSide)
+{
+    constexpr std::uint64_t P = SparseMemory::pageBytes;
+    // Pages 0x40 and 0x41 share a chunk; page 0x400 lives in another.
+    const std::uint64_t a0 = 0x40 * P, a1 = 0x41 * P, far = 0x400 * P;
+
+    // Original -> copy: the write through the original's warm
+    // last-page memo must copy the page, not land in the shared one.
+    SparseMemory orig;
+    orig.writeWord(a0, 1);
+    orig.writeWord(a1, 2);
+    orig.writeWord(far, 3);
+    orig.writeWord(a0 + 8, 4);  // memo now points at page 0x40
+    SparseMemory copy(orig);
+    orig.writeWord(a0 + 8, 40);
+    EXPECT_EQ(copy.readWord(a0 + 8), 4u);
+    EXPECT_EQ(orig.readWord(a0 + 8), 40u);
+    EXPECT_EQ(orig.pagesCopied(), 1u);
+    EXPECT_EQ(copy.pagesCopied(), 0u);
+    // The untouched neighbour in the same chunk is still intact on
+    // both sides.
+    EXPECT_EQ(orig.readWord(a1), 2u);
+    EXPECT_EQ(copy.readWord(a1), 2u);
+
+    // Copy -> original, through a memo warmed by a read.
+    EXPECT_EQ(copy.readWord(far), 3u);
+    copy.writeWord(far, 30);
+    copy.writeByte(a1 + 1, 0xee);
+    EXPECT_EQ(orig.readWord(far), 3u);
+    EXPECT_EQ(orig.readWord(a1), 2u);
+    EXPECT_EQ(copy.readWord(far), 30u);
+    EXPECT_EQ(copy.readWord(a1), 0xee02u);
+    EXPECT_EQ(copy.pagesCopied(), 2u);
+
+    // A read-warmed memo on a page the memory holds alone writes in
+    // place; copying that memory again must still drop it.
+    EXPECT_EQ(orig.readWord(a0), 1u);
+    SparseMemory third = orig;
+    orig.writeWord(a0, 100);
+    EXPECT_EQ(third.readWord(a0), 1u);
+    EXPECT_EQ(copy.readWord(a0), 1u);
+    EXPECT_EQ(orig.readWord(a0), 100u);
+
+    // New pages after a copy appear on one side only.
+    copy.writeWord(0x9000 * P, 7);
+    EXPECT_EQ(orig.readWord(0x9000 * P), 0u);
+    EXPECT_EQ(copy.numPages(), orig.numPages() + 1);
+
+    // Assignment shares too, and the assigned-over pages are dropped.
+    third = copy;
+    EXPECT_EQ(third.readWord(far), 30u);
+    third.writeWord(far, 300);
+    EXPECT_EQ(copy.readWord(far), 30u);
+}
+
+TEST(SparseMemory, EqualsComparesOnlyUnsharedPages)
+{
+    constexpr std::uint64_t P = SparseMemory::pageBytes;
+    SparseMemory a;
+    for (std::uint64_t page = 0; page < 200; ++page)
+        a.writeWord(page * P, page + 1);
+
+    // Shared pages are equal without reading a byte.
+    SparseMemory b(a);
+    std::uint64_t compared = 0;
+    EXPECT_TRUE(a.equals(b, &compared));
+    EXPECT_TRUE(b.equals(a, &compared));
+    EXPECT_EQ(compared, 0u);
+
+    // A page copied by a write of the value it held is compared and
+    // still equal.
+    b.writeWord(7 * P, 8);
+    compared = 0;
+    EXPECT_TRUE(a.equals(b, &compared));
+    EXPECT_EQ(compared, 1u);
+
+    // A diverged page makes the states differ, either way round.
+    b.writeWord(150 * P + 16, 99);
+    EXPECT_FALSE(a.equals(b));
+    EXPECT_FALSE(b.equals(a));
+    b.writeWord(150 * P + 16, 0);
+    EXPECT_TRUE(b.equals(a));
+
+    // A page present on one side only is equal while it is all
+    // zeroes, from either side, in a chunk the other side has or not.
+    for (std::uint64_t page : {std::uint64_t{201}, std::uint64_t{5000}}) {
+        SparseMemory c(a);
+        c.writeWord(page * P + 24, 0);
+        compared = 0;
+        EXPECT_TRUE(a.equals(c, &compared)) << "page " << page;
+        EXPECT_TRUE(c.equals(a, &compared)) << "page " << page;
+        EXPECT_EQ(compared, 2u) << "page " << page;
+        c.writeByte(page * P + 4095, 1);
+        EXPECT_FALSE(a.equals(c)) << "page " << page;
+        EXPECT_FALSE(c.equals(a)) << "page " << page;
+    }
+
+    // Memories built apart share nothing and compare byte by byte.
+    SparseMemory d;
+    for (std::uint64_t page = 0; page < 200; ++page)
+        d.writeWord(page * P, page + 1);
+    compared = 0;
+    EXPECT_TRUE(d.equals(a, &compared));
+    EXPECT_EQ(compared, 200u);
 }
 
 namespace
